@@ -112,10 +112,12 @@ dist-race:
 	$(GO) test -race -count=1 -run 'TestDist' ./internal/dist
 	$(GO) test -race -count=1 -run 'TestDistMatchesSequential|TestRGBCMYCacheReuse' ./internal/suite/distkern
 
-# Short native-fuzz leg over the dist wire codec (the CI race job runs the
-# same with -fuzztime=30s).
+# Short native-fuzz legs over the dist wire codec, one-shot frames and a
+# persistent stream (the CI race job runs the same with -fuzztime=30s).
+# Go fuzzes one target per invocation.
 fuzz-frames:
-	$(GO) test ./internal/dist -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=15s
+	$(GO) test ./internal/dist -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=15s
+	$(GO) test ./internal/dist -run='^$$' -fuzz='^FuzzCodecStream$$' -fuzztime=15s
 
 # Session-churn soak (the CI dist-smoke job): churn hundreds of request
 # sessions and assert the live dependence-record count returns to the

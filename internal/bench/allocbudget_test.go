@@ -56,12 +56,14 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkTuneRecord":          BenchmarkTuneRecord,
 		// Metrics-plane ceilings: every live increment/observation must
 		// stay allocation-free, so scraping a loaded server never perturbs
-		// it. The dist frame round-trip is pinned at its current cost so
-		// trace piggybacking cannot silently inflate the dispatch path.
+		// it. The dist frame round-trips, one-shot and on a persistent
+		// codec, are pinned at their current cost so trace piggybacking
+		// cannot silently inflate the dispatch path.
 		"BenchmarkMetricsCounterInc":       BenchmarkMetricsCounterInc,
 		"BenchmarkMetricsGaugeSet":         BenchmarkMetricsGaugeSet,
 		"BenchmarkMetricsHistogramObserve": BenchmarkMetricsHistogramObserve,
 		"BenchmarkDistFrameRoundTrip":      BenchmarkDistFrameRoundTrip,
+		"BenchmarkDistCodecRoundTrip":      BenchmarkDistCodecRoundTrip,
 	}
 	for name, fn := range benchmarks {
 		budget, ok := entries[name]

@@ -11,8 +11,9 @@ import (
 // Metrics-plane overhead microbenchmarks. The live metrics plane attaches
 // to a serving runtime, so its hot-path contract is the same as the
 // recorder's: zero allocations per increment/observation, enforced through
-// testdata/alloc_budget.json. BenchmarkDistFrameRoundTrip pins the wire
-// dispatch path's per-frame allocation cost so trace piggybacking cannot
+// testdata/alloc_budget.json. BenchmarkDistFrameRoundTrip and
+// BenchmarkDistCodecRoundTrip pin the wire dispatch path's per-frame
+// allocation cost, one-shot and steady state, so trace piggybacking cannot
 // silently inflate it.
 
 // BenchmarkMetricsCounterInc measures one counter increment.
@@ -55,20 +56,24 @@ func BenchmarkMetricsHistogramObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkDistFrameRoundTrip measures one task-dispatch frame through the
-// wire codec: encode a TaskMsg frame, decode it back. This is the
-// coordinator's per-dispatch marshal cost; its alloc ceiling guards the
-// path now that trace batches piggyback on the same frames.
-func BenchmarkDistFrameRoundTrip(b *testing.B) {
-	payload := make([]byte, 4096)
-	f := &dist.Frame{Task: &dist.TaskMsg{
+// benchTaskFrame is a task-dispatch frame shipping one 4 KiB read.
+func benchTaskFrame() *dist.Frame {
+	return &dist.Frame{Task: &dist.TaskMsg{
 		ID:     7,
 		Kernel: "bench.kernel",
 		Args:   []byte{1, 2, 3, 4},
 		NIn:    1,
-		Reads:  []dist.WireRef{{Datum: 1, Ver: 2, Size: 4096, Bytes: payload}},
+		Reads:  []dist.WireRef{{Datum: 1, Ver: 2, Size: 4096, Bytes: make([]byte, 4096)}},
 		Writes: []dist.WireOut{{Datum: 3, Ver: 1, Size: 4096, SeedFrom: -1}},
 	}}
+}
+
+// BenchmarkDistFrameRoundTrip measures one task-dispatch frame through the
+// one-shot codec (a fresh gob stream per frame, the handshake's form):
+// encode a TaskMsg frame, decode it back. Its alloc ceiling guards the
+// path now that trace batches piggyback on the same frame types.
+func BenchmarkDistFrameRoundTrip(b *testing.B) {
+	f := benchTaskFrame()
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -78,6 +83,35 @@ func BenchmarkDistFrameRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := dist.ReadFrame(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDistCodecRoundTrip measures the same frame in steady state on
+// a persistent codec pair — what every dispatch after a connection's
+// first frame costs: type descriptors are already known to both ends and
+// the frame buffers are warm.
+func BenchmarkDistCodecRoundTrip(b *testing.B) {
+	f := benchTaskFrame()
+	tx, rx := dist.NewCodec(), dist.NewCodec()
+	var buf bytes.Buffer
+	for i := 0; i < 2; i++ { // warm-up: descriptors sent, buffers grown
+		if err := tx.WriteFrame(&buf, f); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rx.ReadFrame(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := tx.WriteFrame(&buf, f); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rx.ReadFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

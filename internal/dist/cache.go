@@ -1,15 +1,17 @@
 package dist
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // centry is one mirrored cache entry: the coordinator's record that a
-// worker holds the bytes of one (datum, version) pair.
+// worker holds the bytes of one (datum, version) pair. Entries form an
+// intrusive doubly linked list in recency order around the mirror's
+// sentinel; pinned is scratch state, set only for the duration of one
+// planEvict.
 type centry struct {
-	size    int64
-	lastUse uint64
+	key        CacheKey
+	size       int64
+	prev, next *centry
+	pinned     bool
 }
 
 // mirror is the coordinator's deterministic model of one worker's version
@@ -21,23 +23,26 @@ type centry struct {
 // never disagree — which is what lets the coordinator skip shipping bytes
 // (WireRef.Bytes = nil) whenever the mirror says the pair is resident.
 //
-// Replacement is least-recently-used with the coordinator's dispatch
-// counter as the clock, oldest first; entries the current task needs are
-// pinned for the decision. Insertion happens in two steps matching the
-// worker's behaviour: read misses insert at dispatch (the worker caches
-// shipped bytes as soon as they arrive), task outputs insert only after
-// the worker reports success (a failed writer's outputs never enter
-// either cache).
+// Replacement is least-recently-used, oldest first; entries the current
+// task needs are pinned for the decision. Every touch or insert moves its
+// entry to the back of the recency list, so the list is always in
+// last-use order and planEvict walks it from the front, costing the
+// entries it evicts or skips rather than the whole cache. Insertion
+// happens in two steps matching the worker's behaviour: read misses
+// insert at dispatch (the worker caches shipped bytes as soon as they
+// arrive), task outputs insert only after the worker reports success (a
+// failed writer's outputs never enter either cache).
 type mirror struct {
 	entries map[CacheKey]*centry
+	lru     centry // sentinel: lru.next is the least recently used entry
 	total   int64
 	budget  int64
-	tick    uint64
-	evicted int64 // lifetime count, for Stats
 }
 
 func newMirror(budget int64) *mirror {
-	return &mirror{entries: make(map[CacheKey]*centry), budget: budget}
+	m := &mirror{entries: make(map[CacheKey]*centry), budget: budget}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
 }
 
 // has reports residency without touching recency.
@@ -58,72 +63,70 @@ func (m *mirror) hitBytes(keys []CacheKey) int64 {
 	return n
 }
 
+// unlink takes e off the recency list.
+func unlink(e *centry) { e.prev.next, e.next.prev = e.next, e.prev }
+
+// pushBack makes e the most recently used entry.
+func (m *mirror) pushBack(e *centry) {
+	e.prev, e.next = m.lru.prev, &m.lru
+	e.prev.next, m.lru.prev = e, e
+}
+
 // touch marks a resident key used now.
 func (m *mirror) touch(k CacheKey) {
 	if e, ok := m.entries[k]; ok {
-		m.tick++
-		e.lastUse = m.tick
+		unlink(e)
+		m.pushBack(e)
 	}
 }
 
 // planEvict makes room for `incoming` new bytes while keeping every key in
-// `pinned` resident, and returns the eviction list in deterministic
-// (lastUse, then key) order. Entries never seen by the current task are
-// evicted oldest-first until the cache fits. If even evicting everything
-// unpinned cannot fit the incoming bytes, the remaining overflow is
-// tolerated: the task's own working set must be resident regardless, so
-// the budget is a target, not a hard wall.
+// `pinned` resident, and returns the eviction list, least recently used
+// first. Entries never seen by the current task are evicted oldest-first
+// until the cache fits. If even evicting everything unpinned cannot fit
+// the incoming bytes, the remaining overflow is tolerated: the task's own
+// working set must be resident regardless, so the budget is a target, not
+// a hard wall.
 func (m *mirror) planEvict(pinned []CacheKey, incoming int64) []CacheKey {
 	if m.total+incoming <= m.budget {
 		return nil
 	}
-	pin := make(map[CacheKey]bool, len(pinned))
 	for _, k := range pinned {
-		pin[k] = true
-	}
-	type cand struct {
-		key CacheKey
-		e   *centry
-	}
-	var cands []cand
-	for k, e := range m.entries {
-		if !pin[k] {
-			cands = append(cands, cand{k, e})
+		if e, ok := m.entries[k]; ok {
+			e.pinned = true
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.e.lastUse != b.e.lastUse {
-			return a.e.lastUse < b.e.lastUse
-		}
-		if a.key.Datum != b.key.Datum {
-			return a.key.Datum < b.key.Datum
-		}
-		return a.key.Ver < b.key.Ver
-	})
 	var out []CacheKey
-	for _, c := range cands {
-		if m.total+incoming <= m.budget {
-			break
+	for e := m.lru.next; e != &m.lru && m.total+incoming > m.budget; {
+		next := e.next
+		if !e.pinned {
+			unlink(e)
+			delete(m.entries, e.key)
+			m.total -= e.size
+			out = append(out, e.key)
 		}
-		delete(m.entries, c.key)
-		m.total -= c.e.size
-		m.evicted++
-		out = append(out, c.key)
+		e = next
+	}
+	for _, k := range pinned {
+		if e, ok := m.entries[k]; ok {
+			e.pinned = false
+		}
 	}
 	return out
 }
 
-// insert records a newly resident pair (idempotent on re-insert).
+// insert records a newly resident pair (idempotent on re-insert, which
+// counts as a use).
 func (m *mirror) insert(k CacheKey, size int64) {
-	if e, ok := m.entries[k]; ok {
-		m.tick++
-		e.lastUse = m.tick
-		return
+	e, ok := m.entries[k]
+	if ok {
+		unlink(e)
+	} else {
+		e = &centry{key: k, size: size}
+		m.entries[k] = e
+		m.total += size
 	}
-	m.tick++
-	m.entries[k] = &centry{size: size, lastUse: m.tick}
-	m.total += size
+	m.pushBack(e)
 }
 
 // wcache is the worker-side real cache: a dumb map that applies the

@@ -270,15 +270,17 @@ type taskInfo struct {
 	clauses []Clause
 }
 
-// send is one frame to transmit after the coordinator lock drops. kill is
-// the KillWorkerAfter fault hook, decided under the lock so transmit
-// touches no mutable worker state; gen guards the lost-worker path
-// against a connection replaced by a rejoin.
+// send is one frame to transmit after the coordinator lock drops. The
+// connection and the KillWorkerAfter victim (nil for none) are captured
+// under the lock, so transmit touches no mutable worker state: a loss or
+// rejoin may replace w.conn and w.cmd the moment the lock drops. gen
+// guards the lost-worker path against a connection replaced by a rejoin.
 type send struct {
 	w    *workerState
 	gen  int
+	conn *conn
 	f    *Frame
-	kill bool
+	kill *exec.Cmd
 }
 
 // RT is the coordinator runtime handed to the program function: Register
@@ -530,10 +532,7 @@ func (rt *RT) assignLocked(w *workerState, t *core.Task, info *taskInfo) send {
 	// anything else). Shipped reads are already in the mirror; incoming is
 	// the outputs still to come.
 	links[0].Evict = w.mir.planEvict(pinned, incoming)
-	rt.stats.Evictions = 0
-	for _, ws := range rt.workers {
-		rt.stats.Evictions += ws.mir.evicted
-	}
+	rt.stats.Evictions += int64(len(links[0].Evict))
 
 	rt.stats.RoundTrips++
 	w.sent++
@@ -551,11 +550,11 @@ func (rt *RT) assignLocked(w *workerState, t *core.Task, info *taskInfo) send {
 			rt.rec.Emit(w.slot, obs.EvChain, t.ID, uint64(len(links)))
 		}
 	}
-	kill := false
+	var kill *exec.Cmd
 	if !rt.killFired && rt.cfg.killWorker == w.slot && w.sent >= rt.cfg.killAfter {
-		kill, rt.killFired = true, true
+		kill, rt.killFired = w.cmd, true
 	}
-	return send{w: w, gen: w.gen, f: f, kill: kill}
+	return send{w: w, gen: w.gen, conn: w.conn, f: f, kill: kill}
 }
 
 // chainSuccessorLocked finds a successor of cur eligible to ride the same
@@ -727,13 +726,13 @@ func (rt *RT) forwardSourceLocked(k CacheKey, not *workerState) *workerState {
 // failure is a lost worker. It also trips the KillWorkerAfter fault hook.
 func (rt *RT) transmit(sends []send) {
 	for _, s := range sends {
-		err := s.w.conn.send(s.f)
+		err := s.conn.send(s.f)
 		if err != nil {
 			rt.workerLost(s.w, s.gen, fmt.Errorf("send: %w", err))
 			continue
 		}
-		if s.kill {
-			s.w.cmd.Process.Kill()
+		if s.kill != nil {
+			s.kill.Process.Kill()
 		}
 	}
 }
@@ -763,7 +762,7 @@ func (rt *RT) reader(w *workerState, gen int) {
 	defer rt.readers.Done()
 	c := w.conn
 	for {
-		f, err := ReadFrame(c.Conn)
+		f, err := c.recv()
 		if err != nil {
 			rt.workerLost(w, gen, err)
 			return

@@ -146,7 +146,9 @@ func TestDistForwarding(t *testing.T) {
 		if err := rt.Taskwait(); err != nil { // a now resident on worker 0 only
 			return err
 		}
-		rt.Task("test.add", nil, In(a), In(a), Out(dx)) // worker 0 (affinity)
+		// Worker 0 (affinity), kept busy so the next reader cannot wait
+		// for it however fast the round trip is.
+		rt.Task("test.slow-add", nil, In(a), In(a), Out(dx))
 		rt.Task("test.add", nil, In(a), In(a), Out(dy)) // worker 1: a arrives by forward
 		if err := rt.Taskwait(); err != nil {
 			return err
@@ -206,15 +208,16 @@ func TestDistForwardRelayFallback(t *testing.T) {
 	us, them := net.Pipe()
 	defer us.Close()
 	defer them.Close()
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn), c: us}
+	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]*conn), c: newConn(us)}
 
 	payload := []byte{1, 2, 3, 4}
 	go func() {
-		f, err := ReadFrame(them)
+		coord := newConn(them)
+		f, err := coord.recv()
 		if err != nil || f.Fetch == nil {
 			return
 		}
-		WriteFrame(them, &Frame{Data: &DataMsg{
+		coord.send(&Frame{Data: &DataMsg{
 			Datum: f.Fetch.Datum, Ver: f.Fetch.Ver, Found: true, Bytes: payload,
 		}})
 	}()
@@ -433,6 +436,47 @@ func TestDistRejoin(t *testing.T) {
 	}
 }
 
+// TestDistEvictionsSurviveWorkerLoss: Stats.Evictions is a run total. A
+// lost worker's slot restarts with a fresh mirror, and the evictions its
+// old mirror planned must stay counted.
+func TestDistEvictionsSurviveWorkerLoss(t *testing.T) {
+	const n = 1 << 10
+	fills := func(rt *RT) error { // one frame per task: a Taskwait after each
+		for i := 0; i < 6; i++ {
+			rt.Task("test.fill", []byte{byte(i)}, Out(rt.Register(make([]byte, n))))
+			if err := rt.Taskwait(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	before, err := Run(1, fills, CacheBytes(3*n))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if before.Evictions == 0 {
+		t.Fatalf("no evictions under a tight budget: %+v", before)
+	}
+	stats, err := Run(1, func(rt *RT) error {
+		if err := fills(rt); err != nil {
+			return err
+		}
+		rt.Task("test.slow-inc", nil, InOut(rt.Register(make([]byte, n)))) // 7th frame: killed mid-task
+		rt.Taskwait()
+		rt.Task("test.fill", []byte{9}, Out(rt.Register(make([]byte, n)))) // on the respawned worker
+		return rt.Taskwait()
+	}, CacheBytes(3*n), KillWorkerAfter(0, 7), RespawnLostWorkers())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if stats.WorkersLost != 1 || stats.Rejoins != 1 {
+		t.Fatalf("lost/rejoin accounting off: %+v", stats)
+	}
+	if stats.Evictions < before.Evictions {
+		t.Fatalf("Evictions = %d after the loss, %d were planned before it", stats.Evictions, before.Evictions)
+	}
+}
+
 // --- teardown drain deadline (the old hardcoded 10s kill) ---
 
 // TestDistSlowDrainSurvives: a healthy worker that drains slowly must NOT
@@ -478,7 +522,7 @@ func TestDistExitKillDeadline(t *testing.T) {
 // TestDistWorkerRejectsSeedOutOfRange: a frame whose write seeds from a
 // read index that does not exist must fail the task, not the worker.
 func TestDistWorkerRejectsSeedOutOfRange(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]*conn)}
 	done := w.execTask(&TaskMsg{
 		ID: 1, Kernel: "test.inc",
 		Writes: []WireOut{{Datum: 1, Ver: 1, Size: 8, SeedFrom: 3}},
@@ -492,7 +536,7 @@ func TestDistWorkerRejectsSeedOutOfRange(t *testing.T) {
 // declared output size used to silently leave a zero tail in the seeded
 // buffer; it must now fail the task with a descriptive error.
 func TestDistWorkerRejectsSeedSizeMismatch(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]*conn)}
 	done := w.execTask(&TaskMsg{
 		ID: 2, Kernel: "test.inc",
 		Reads:  []WireRef{{Datum: 1, Ver: 1, Size: 4, Bytes: []byte{1, 2, 3, 4}}},
@@ -506,7 +550,7 @@ func TestDistWorkerRejectsSeedSizeMismatch(t *testing.T) {
 // TestDistWorkerRejectsShortRead: shipped bytes disagreeing with the
 // declared size are a protocol violation, rejected before caching.
 func TestDistWorkerRejectsShortRead(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]*conn)}
 	done := w.execTask(&TaskMsg{
 		ID: 3, Kernel: "test.inc", NIn: 1,
 		Reads:  []WireRef{{Datum: 1, Ver: 1, Size: 8, Bytes: []byte{1, 2}}},

@@ -31,6 +31,13 @@ func init() {
 		}
 		return nil
 	})
+	RegisterKernel("test.slow-add", func(args []byte, in, out [][]byte) error {
+		time.Sleep(200 * time.Millisecond)
+		for i := range out[0] {
+			out[0][i] = in[0][i] + in[1][i]
+		}
+		return nil
+	})
 	RegisterKernel("test.inc", func(args []byte, in, out [][]byte) error {
 		// InOut: out[0] arrives seeded with the read version.
 		for i := range out[0] {

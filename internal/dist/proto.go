@@ -200,31 +200,83 @@ type Frame struct {
 	Shutdown  bool
 }
 
-// WriteFrame encodes f as one length-prefixed gob frame: a 4-byte
-// big-endian payload length followed by the gob bytes.
-func WriteFrame(w io.Writer, f *Frame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length backpatched below
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return fmt.Errorf("dist: encode frame: %w", err)
-	}
-	n := buf.Len() - 4
-	if n > MaxFrame {
-		return fmt.Errorf("dist: frame of %d bytes exceeds MaxFrame (%d)", n, MaxFrame)
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
-	return err
+// Codec is one connection's persistent gob streams: an encoder for the
+// frames it sends and a decoder for the frames it receives, each over a
+// reused buffer. Each direction is one gob stream for the connection's
+// life, so type descriptors cross the wire once, on the first frame that
+// needs them, and every later frame carries only its value. Framing is
+// unchanged: a 4-byte big-endian payload length, then the gob bytes of
+// exactly one Frame.
+//
+// The two halves are independent and each is single-threaded: WriteFrame
+// is called under the owner's send lock, ReadFrame only from the
+// connection's single receive loop. Any error leaves that stream's gob
+// state undefined, so it ends the connection: errors are sticky, and every
+// later call in that direction returns the first one.
+type Codec struct {
+	enc  *gob.Encoder
+	wbuf bytes.Buffer
+	werr error
+
+	dec  *gob.Decoder
+	rbuf bytes.Buffer
+	rerr error
 }
 
-// ReadFrame decodes the next frame from r. It returns io.EOF untouched on
-// a clean end of stream. Hostile input cannot make it panic or allocate
-// past the declared (capped) length: the payload is drained with CopyN —
-// so a garbage length with a short stream costs only the bytes actually
-// present — and gob decoding errors are returned, not thrown. This is the
-// function FuzzFrameDecode hammers.
-func ReadFrame(r io.Reader) (*Frame, error) {
+// NewCodec returns a codec whose streams start fresh in both directions;
+// the peer's codec must start at the same frame. Each direction's gob
+// state is built on its first frame, so a one-shot codec pays only for
+// the direction it uses.
+func NewCodec() *Codec { return &Codec{} }
+
+// WriteFrame encodes f as the stream's next length-prefixed frame and
+// writes it to w in a single call.
+func (c *Codec) WriteFrame(w io.Writer, f *Frame) error {
+	if c.werr != nil {
+		return c.werr
+	}
+	if c.enc == nil {
+		c.enc = gob.NewEncoder(&c.wbuf)
+	}
+	c.wbuf.Reset()
+	c.wbuf.Write([]byte{0, 0, 0, 0}) // length backpatched below
+	if err := c.enc.Encode(f); err != nil {
+		c.werr = fmt.Errorf("dist: encode frame: %w", err)
+		return c.werr
+	}
+	n := c.wbuf.Len() - 4
+	if n > MaxFrame {
+		// The encoder may have recorded type descriptors that will now
+		// never be sent, so the stream cannot continue.
+		c.werr = fmt.Errorf("dist: frame of %d bytes exceeds MaxFrame (%d)", n, MaxFrame)
+		return c.werr
+	}
+	b := c.wbuf.Bytes()
+	binary.BigEndian.PutUint32(b[:4], uint32(n))
+	if _, err := w.Write(b); err != nil {
+		c.werr = err
+		return err
+	}
+	return nil
+}
+
+// ReadFrame decodes the stream's next frame from r. It returns io.EOF
+// untouched on a clean end of stream. Hostile input cannot make it panic
+// or allocate past the declared (capped) length: the length is checked
+// before any payload is read, the payload is drained with CopyN — so a
+// garbage length with a short stream costs only the bytes actually
+// present — and gob decoding errors are returned, not thrown. A frame
+// whose payload holds bytes beyond its one value is malformed.
+func (c *Codec) ReadFrame(r io.Reader) (*Frame, error) {
+	if c.rerr != nil {
+		return nil, c.rerr
+	}
+	f, err := c.readFrame(r)
+	c.rerr = err
+	return f, err
+}
+
+func (c *Codec) readFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -233,13 +285,28 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("dist: bad frame length %d", n)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+	c.rbuf.Reset()
+	if _, err := io.CopyN(&c.rbuf, r, int64(n)); err != nil {
 		return nil, fmt.Errorf("dist: short frame: %w", err)
 	}
+	if c.dec == nil {
+		c.dec = gob.NewDecoder(&c.rbuf) // rbuf is an io.ByteReader: no read-ahead wrapper
+	}
 	var f Frame
-	if err := gob.NewDecoder(&buf).Decode(&f); err != nil {
+	if err := c.dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("dist: decode frame: %w", err)
+	}
+	if c.rbuf.Len() != 0 {
+		return nil, fmt.Errorf("dist: %d trailing bytes after frame", c.rbuf.Len())
 	}
 	return &f, nil
 }
+
+// WriteFrame encodes f as one self-contained length-prefixed frame (a
+// fresh gob stream): the form of the one-shot handshake frames.
+func WriteFrame(w io.Writer, f *Frame) error { return NewCodec().WriteFrame(w, f) }
+
+// ReadFrame decodes one self-contained frame written by WriteFrame. This
+// is the function FuzzFrameDecode hammers; FuzzCodecStream covers the
+// persistent form.
+func ReadFrame(r io.Reader) (*Frame, error) { return NewCodec().ReadFrame(r) }

@@ -35,19 +35,28 @@ const (
 // not given. It also seeds the default exit-kill deadline.
 const DefaultHandshakeTimeout = 30 * time.Second
 
-// conn wraps one worker connection with a send mutex: the dispatch path,
-// the relay-fallback path, and the shutdown path all write frames, and
-// frames must not interleave.
+// conn is one authenticated connection past its handshake: the socket
+// plus the connection's persistent codec. The send mutex exists because
+// several goroutines may send on one connection (on the coordinator, the
+// dispatch path, the relay-fallback path and the shutdown path) and
+// frames must not interleave; recv belongs to the connection's single
+// receive loop. Every frame after the one-shot handshake goes through
+// here, so both ends start their streams at the same frame.
 type conn struct {
 	net.Conn
 	sendMu sync.Mutex
+	codec  *Codec
 }
+
+func newConn(c net.Conn) *conn { return &conn{Conn: c, codec: NewCodec()} }
 
 func (c *conn) send(f *Frame) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return WriteFrame(c.Conn, f)
+	return c.codec.WriteFrame(c.Conn, f)
 }
+
+func (c *conn) recv() (*Frame, error) { return c.codec.ReadFrame(c.Conn) }
 
 // newSecret draws a fresh 32-byte shared secret for one run.
 func newSecret() ([]byte, error) {
@@ -235,7 +244,7 @@ func acceptLoop(l net.Listener, secret []byte, hsTimeout time.Duration, admit ch
 				return
 			}
 			select {
-			case admit <- admitted{conn: &conn{Conn: c}, hello: h, sync: cs}:
+			case admit <- admitted{conn: newConn(c), hello: h, sync: cs}:
 			case <-stop:
 				c.Close()
 			}

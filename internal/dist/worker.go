@@ -93,7 +93,7 @@ func MaybeWorker() {
 type wproc struct {
 	slot   int
 	secret []byte
-	c      net.Conn
+	c      *conn // coordinator connection, owned by the task loop
 	cache  *wcache
 
 	// Worker-side tracing (enabled by OMPSS_DIST_TRACE): a single-lane
@@ -104,7 +104,7 @@ type wproc struct {
 	epoch time.Time
 
 	peerMu sync.Mutex
-	peers  map[string]net.Conn // fetch address -> authenticated connection
+	peers  map[string]*conn // fetch address -> authenticated connection
 
 	// per-task fetch accounting, reported on the next DoneMsg
 	fetches        int
@@ -133,7 +133,7 @@ func workerMain(network, addr string, slot int, secret []byte) error {
 		slot:   slot,
 		secret: secret,
 		cache:  newWCache(),
-		peers:  make(map[string]net.Conn),
+		peers:  make(map[string]*conn),
 	}
 	if cap, _ := strconv.Atoi(os.Getenv(envTrace)); cap > 0 {
 		w.epoch = time.Now()
@@ -154,14 +154,14 @@ func workerMain(network, addr string, slot int, secret []byte) error {
 		return fmt.Errorf("dial coordinator: %w", err)
 	}
 	defer c.Close()
-	w.c = c
 	if err := answerChallenge(c, secret, slot, fetchAddr, w.clockFn(), DefaultHandshakeTimeout); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
+	w.c = newConn(c)
 
 	for {
 		w.emit(obs.EvIdleEnter, 0, 0)
-		f, err := ReadFrame(c)
+		f, err := w.c.recv()
 		if err != nil {
 			if err == io.EOF {
 				return nil // coordinator went away: quiet exit
@@ -209,7 +209,7 @@ func (w *wproc) flushTrace() {
 		return
 	}
 	evs, dropped := w.rec.Drain()
-	_ = WriteFrame(w.c, &Frame{Trace: &TraceMsg{Slot: w.slot, Events: evs, Dropped: dropped}})
+	_ = w.c.send(&Frame{Trace: &TraceMsg{Slot: w.slot, Events: evs, Dropped: dropped}})
 }
 
 func (w *wproc) execAndReport(msg *TaskMsg) error {
@@ -224,7 +224,7 @@ func (w *wproc) execAndReportOutcome(msg *TaskMsg) (failed bool, err error) {
 		// extra frames, no worker-side buffering across tasks.
 		done.Events, done.EventsDropped = w.rec.Drain()
 	}
-	if err := WriteFrame(w.c, &Frame{Done: done}); err != nil {
+	if err := w.c.send(&Frame{Done: done}); err != nil {
 		return false, fmt.Errorf("send done: %w", err)
 	}
 	return done.Err != "", nil
@@ -348,10 +348,10 @@ func (w *wproc) fetchRef(r WireRef, task uint64) ([]byte, error) {
 	// connection while a task executes, and the coordinator dispatches
 	// nothing to a busy worker, so the next frame is the Data answer.
 	w.fetchFallbacks++
-	if err := WriteFrame(w.c, &Frame{Fetch: &FetchMsg{Datum: r.Datum, Ver: r.Ver}}); err != nil {
+	if err := w.c.send(&Frame{Fetch: &FetchMsg{Datum: r.Datum, Ver: r.Ver}}); err != nil {
 		return nil, fmt.Errorf("relay request: %w", err)
 	}
-	f, err := ReadFrame(w.c)
+	f, err := w.c.recv()
 	if err != nil {
 		return nil, fmt.Errorf("relay read: %w", err)
 	}
@@ -374,15 +374,15 @@ func (w *wproc) fetchFromPeer(fetchAddr string, k CacheKey) ([]byte, error) {
 	c, ok := w.peers[fetchAddr]
 	if !ok {
 		network, addr := dialAddr(fetchAddr)
-		var err error
-		c, err = net.DialTimeout(network, addr, 5*time.Second)
+		nc, err := net.DialTimeout(network, addr, 5*time.Second)
 		if err != nil {
 			return nil, err
 		}
-		if err := answerChallenge(c, w.secret, w.slot, "", nil, 5*time.Second); err != nil {
-			c.Close()
+		if err := answerChallenge(nc, w.secret, w.slot, "", nil, 5*time.Second); err != nil {
+			nc.Close()
 			return nil, err
 		}
+		c = newConn(nc)
 		w.peers[fetchAddr] = c
 	}
 	fail := func(err error) ([]byte, error) {
@@ -392,10 +392,10 @@ func (w *wproc) fetchFromPeer(fetchAddr string, k CacheKey) ([]byte, error) {
 	}
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 	defer c.SetDeadline(time.Time{})
-	if err := WriteFrame(c, &Frame{Fetch: &FetchMsg{Datum: k.Datum, Ver: k.Ver}}); err != nil {
+	if err := c.send(&Frame{Fetch: &FetchMsg{Datum: k.Datum, Ver: k.Ver}}); err != nil {
 		return fail(err)
 	}
-	f, err := ReadFrame(c)
+	f, err := c.recv()
 	if err != nil {
 		return fail(err)
 	}
@@ -455,13 +455,14 @@ func fetchAddrOf(l net.Listener, network string) string {
 // servePeer answers one peer connection: authenticate, then serve cached
 // pairs. A miss answers Found=false (the peer falls back to the
 // coordinator); any transport error closes the connection.
-func (w *wproc) servePeer(c net.Conn) {
-	defer c.Close()
-	if _, _, err := challengeConn(c, w.secret, 10*time.Second); err != nil {
+func (w *wproc) servePeer(nc net.Conn) {
+	defer nc.Close()
+	if _, _, err := challengeConn(nc, w.secret, 10*time.Second); err != nil {
 		return
 	}
+	c := newConn(nc)
 	for {
-		f, err := ReadFrame(c)
+		f, err := c.recv()
 		if err != nil {
 			return
 		}
@@ -470,7 +471,7 @@ func (w *wproc) servePeer(c net.Conn) {
 		}
 		k := CacheKey{Datum: f.Fetch.Datum, Ver: f.Fetch.Ver}
 		b, ok := w.cache.get(k)
-		if err := WriteFrame(c, &Frame{Data: &DataMsg{
+		if err := c.send(&Frame{Data: &DataMsg{
 			Datum: k.Datum, Ver: k.Ver, Found: ok, Bytes: b,
 		}}); err != nil {
 			return
